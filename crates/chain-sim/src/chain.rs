@@ -162,11 +162,21 @@ impl ClosedChain {
     }
 
     /// Cyclic index normalization: maps any signed offset from an index into
-    /// `0..n`.
+    /// `0..n`. Indices within one lap of the range — every neighbor lookup
+    /// of a view shorter than the chain — wrap with a compare instead of a
+    /// division.
     #[inline]
     pub fn cyc(&self, i: isize) -> usize {
         let n = self.pos.len() as isize;
-        (((i % n) + n) % n) as usize
+        if (0..n).contains(&i) {
+            i as usize
+        } else if (-n..0).contains(&i) {
+            (i + n) as usize
+        } else if (n..2 * n).contains(&i) {
+            (i - n) as usize
+        } else {
+            i.rem_euclid(n) as usize
+        }
     }
 
     /// Neighbor `delta` steps away from `i` along the chain (cyclic).
@@ -319,20 +329,22 @@ impl ClosedChain {
         }
 
         // Walk the cycle from the anchor, grouping equal consecutive
-        // positions.
+        // positions. Every walked index is below `2n`: one conditional
+        // subtraction wraps it.
+        let wrap = |i: usize| if i >= n { i - n } else { i };
         let mut k = 0;
         while k < n {
-            let gi = (anchor + k) % n;
+            let gi = wrap(anchor + k);
             let p = self.pos[gi];
             let mut glen = 1;
-            while glen < n && self.pos[(anchor + k + glen) % n] == p {
+            while glen < n && self.pos[wrap(anchor + k + glen)] == p {
                 glen += 1;
             }
             if glen > 1 {
                 let keeper_idx = gi;
                 let mut removed = Vec::with_capacity(glen - 1);
                 for j in 1..glen {
-                    let ri = (anchor + k + j) % n;
+                    let ri = wrap(anchor + k + j);
                     removed.push(self.id[ri]);
                     log.removed_indices.push(ri);
                     log.keeper_indices.push(keeper_idx);
@@ -462,6 +474,11 @@ mod tests {
         assert_eq!(c.nb(1, -6), 3);
         assert_eq!(c.cyc(-1), 3);
         assert_eq!(c.cyc(4), 0);
+        // Beyond one lap the compare chain falls back to the remainder.
+        assert_eq!(c.cyc(9), 1);
+        assert_eq!(c.cyc(-9), 3);
+        assert_eq!(c.cyc(-4), 0);
+        assert_eq!(c.cyc(7), 3);
     }
 
     #[test]

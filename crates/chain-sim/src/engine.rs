@@ -539,8 +539,12 @@ impl<S: Strategy> Sim<S> {
     /// limits, or the same rounds re-judged under different limits —
     /// finishes again.
     pub fn run(&mut self, limits: RunLimits) -> Outcome {
+        // One bounding-box scan per round: the round-0 check here, then
+        // the verdict `step` already computed on the same post-merge
+        // chain.
+        let mut gathered = self.chain.is_gathered();
         let outcome = loop {
-            if self.chain.is_gathered() {
+            if gathered {
                 break Outcome::Gathered { rounds: self.round };
             }
             if self.round >= limits.max_rounds {
@@ -562,7 +566,7 @@ impl<S: Strategy> Sim<S> {
                 };
             }
             match self.step() {
-                Ok(_) => {}
+                Ok(summary) => gathered = summary.gathered,
                 Err(error) => {
                     break Outcome::ChainBroken {
                         rounds: self.round,

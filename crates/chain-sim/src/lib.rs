@@ -92,4 +92,4 @@ pub use safety::{enforce_chain_safety, hop_breaks_chain};
 pub use scheduler::{Scheduler, SchedulerKind};
 pub use strategy::Strategy;
 pub use trace::{Progress, RoundReport, Trace, TraceConfig};
-pub use view::Ring;
+pub use view::{EdgeCodes, EdgeView, Ring};

@@ -80,6 +80,12 @@ pub const fn opposite(code: u8) -> u8 {
     code ^ 0b10
 }
 
+/// `true` if the two codes' directions lie on different axes.
+#[inline]
+pub const fn perpendicular(a: u8, b: u8) -> bool {
+    (a ^ b) & 1 != 0
+}
+
 /// Mask covering the low `lanes` 2-bit lanes of a word.
 #[inline]
 const fn lane_mask(lanes: usize) -> u64 {

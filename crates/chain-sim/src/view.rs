@@ -2,11 +2,22 @@
 //!
 //! Robots see only the subchain of their next `V` neighbors in both chain
 //! directions ("viewing path length", `V = 11` in the paper), as *relative
-//! positions*. [`Ring`] is a zero-allocation cyclic accessor centered on an
-//! observing robot; all strategy decisions in `gathering-core` go through a
-//! `Ring` bounded to the viewing range, which makes locality structural.
+//! positions*. Two accessors expose such a view:
+//!
+//! * [`Ring`] — positions, centered on an observing robot, computed
+//!   through the chain's cyclic index on every access. The reference
+//!   form: easy to read, used by per-robot oracles and instrumentation.
+//! * [`EdgeView`] — the same view as 2-bit edge codes (the
+//!   [`packed`](crate::packed) E/S/W/N alphabet), read out of an
+//!   [`EdgeCodes`] buffer decoded once per round. Relative positions are
+//!   prefix sums of edge steps, so every shape predicate over a `Ring`
+//!   has an equivalent over codes; the gathering strategy's hot
+//!   predicates run on this form.
+//!
+//! Both are bounded to a horizon, which makes locality structural.
 
 use crate::chain::ClosedChain;
+use crate::packed::{edge_code, opposite};
 use grid_geom::{Offset, Point};
 
 /// Cyclic, relative accessor to the chain, centered at robot `center`.
@@ -100,6 +111,121 @@ impl<'a> Ring<'a> {
     }
 }
 
+/// The chain's edge directions, decoded once per round: one
+/// [`packed`](crate::packed) code per byte (`codes()[i]` is the step from
+/// robot `i` to robot `i + 1`), plus `pad` codes of cyclic padding on
+/// each side so that windows around any robot read without index
+/// wrapping. Buffers are reused across rounds.
+#[derive(Clone, Debug, Default)]
+pub struct EdgeCodes {
+    /// `pad` codes, the `n` chain codes, `pad` codes (cyclic).
+    ext: Vec<u8>,
+    pad: usize,
+    n: usize,
+}
+
+impl EdgeCodes {
+    /// Decode the edges of the taut chain `chain`, padding `pad` codes on
+    /// each side. A single-robot chain has no edges.
+    pub fn decode(&mut self, chain: &ClosedChain, pad: usize) {
+        let pos = chain.positions();
+        let n = if pos.len() < 2 { 0 } else { pos.len() };
+        self.n = n;
+        self.pad = pad;
+        self.ext.clear();
+        if n == 0 {
+            return;
+        }
+        self.ext.resize(n + 2 * pad, 0);
+        let body = &mut self.ext[pad..pad + n];
+        for (i, code) in body.iter_mut().enumerate() {
+            let next = if i + 1 == n { pos[0] } else { pos[i + 1] };
+            *code = edge_code(next - pos[i]).expect("taut chains have unit edges");
+        }
+        for j in 0..pad {
+            // Cyclic padding (wraps several times on chains shorter
+            // than the pad).
+            self.ext[j] = self.ext[pad + (n - (pad - j) % n) % n];
+            self.ext[pad + n + j] = self.ext[pad + j % n];
+        }
+    }
+
+    /// Number of edges (= robots, or 0 for a single robot).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// `true` when the chain had no edges.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The unpadded codes, in chain order.
+    #[inline]
+    pub fn codes(&self) -> &[u8] {
+        &self.ext[self.pad..self.pad + self.n]
+    }
+
+    /// Code of the edge from robot `i + d` to robot `i + d + 1`, for
+    /// `i < len()` and `-pad ≤ d < pad`.
+    #[inline]
+    pub fn edge(&self, i: usize, d: isize) -> u8 {
+        self.ext[(self.pad + i).wrapping_add_signed(d)]
+    }
+
+    /// The view centered on robot `i`, bounded to the padding.
+    #[inline]
+    pub fn view(&self, i: usize) -> EdgeView<'_> {
+        debug_assert!(i < self.n);
+        EdgeView {
+            ext: &self.ext,
+            at: self.pad + i,
+            n: self.n,
+            reach: self.pad as isize,
+        }
+    }
+}
+
+/// A robot's local view as edge codes: the [`Ring`] adapter over an
+/// [`EdgeCodes`] buffer. Reads beyond the buffer's padding panic in debug
+/// builds, like a `Ring`'s horizon.
+#[derive(Clone, Copy)]
+pub struct EdgeView<'a> {
+    ext: &'a [u8],
+    at: usize,
+    n: usize,
+    reach: isize,
+}
+
+impl EdgeView<'_> {
+    /// Number of robots on the whole chain (see [`Ring::chain_len`]).
+    #[inline]
+    pub fn chain_len(&self) -> usize {
+        self.n
+    }
+
+    /// Code of the step from neighbor `j·dir` to neighbor `(j + 1)·dir`
+    /// for `dir = ±1` — the `Ring` equivalent is
+    /// `abs((j + 1) * dir) - abs(j * dir)`. A step against the chain
+    /// orientation is the opposite of the stored edge.
+    #[inline]
+    pub fn step(&self, dir: isize, j: isize) -> u8 {
+        debug_assert!(dir == 1 || dir == -1);
+        debug_assert!(
+            j >= 0 && j < self.reach,
+            "view horizon exceeded: {j} >= {}",
+            self.reach
+        );
+        if dir > 0 {
+            self.ext[self.at + j as usize]
+        } else {
+            opposite(self.ext[self.at - j as usize - 1])
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +254,36 @@ mod tests {
         assert_eq!(v.index(1), 0);
         assert_eq!(v.index(-4), 3);
         assert_eq!(v.rel(4), Offset::ZERO); // all the way around
+    }
+
+    #[test]
+    fn edge_views_match_ring_steps() {
+        // Tiny chains wrap the padding several times; the code view must
+        // still agree with the position view everywhere within reach.
+        let chains = [
+            chain(&[(0, 0), (1, 0)]),
+            chain(&[(0, 0), (1, 0), (2, 0), (1, 0)]),
+            chain(&[(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]),
+        ];
+        let mut codes = EdgeCodes::default();
+        for c in &chains {
+            codes.decode(c, 7);
+            assert_eq!(codes.len(), c.len());
+            for i in 0..c.len() {
+                assert_eq!(codes.codes()[i], edge_code(c.step(i)).unwrap());
+                let ring = Ring::unbounded(c, i);
+                let view = codes.view(i);
+                for dir in [1isize, -1] {
+                    for j in 0..7 {
+                        let want = ring.abs((j + 1) * dir) - ring.abs(j * dir);
+                        assert_eq!(Some(view.step(dir, j)), edge_code(want), "{i} {dir} {j}");
+                    }
+                }
+                for d in -7..7 {
+                    assert_eq!(codes.edge(i, d), edge_code(ring.step(d)).unwrap());
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! model — and produce the violation counts and distributions reported in
 //! EXPERIMENTS.md (tables T2–T4).
 
-use crate::runs::{RunMode, StopReason};
+use crate::runs::{LiveRun, RunMode, StopReason};
 use crate::strategy::{ClosedChainGathering, RunEvent};
 use chain_sim::observe::{Observer, RoundCtx};
-use chain_sim::{ClosedChain, MergeEvent, RobotId};
+use chain_sim::{ClosedChain, EdgeCodes, MergeEvent, RobotId};
 use grid_geom::Offset;
 use std::collections::HashMap;
 
@@ -105,6 +105,8 @@ pub struct LemmaAuditor {
     summary: AuditSummary,
     rounds_since_merge: u64,
     longest_gap: u64,
+    /// Edge-code decode buffer for the Lemma 3.3 line scans.
+    codes: EdgeCodes,
 }
 
 impl LemmaAuditor {
@@ -122,6 +124,7 @@ impl LemmaAuditor {
             summary: AuditSummary::default(),
             rounds_since_merge: 0,
             longest_gap: 0,
+            codes: EdgeCodes::default(),
         }
     }
 
@@ -314,45 +317,41 @@ impl LemmaAuditor {
         }
         let mut now: HashMap<u64, RunTrack> = HashMap::new();
         let mut sees_now: Vec<u64> = Vec::new();
-        let cells = strategy.cells();
-        for (i, cell) in cells.iter().enumerate() {
-            for run in cell.iter() {
-                let robot = chain.id(i);
-                let succ = chain.id(chain.nb(i, run.dir()));
-                now.insert(
-                    run.id,
-                    RunTrack {
-                        robot,
-                        expected_next: succ,
-                    },
-                );
-                // Lemma 3.3: no sequent run visible in front *on the same
-                // quasi line* (same direction, same line orientation,
-                // within the line's visible extent) — mirrors the
-                // strategy's own scoping of Table 1.1.
-                if run.mode == RunMode::Normal {
-                    let horizon = self.view.min(chain.len().saturating_sub(1));
-                    let ring = chain_sim::Ring::with_horizon(chain, i, self.view.max(3) + 1);
-                    let line_extent = crate::quasi::quasi_break_ahead(
-                        &ring,
-                        run.dir(),
-                        run.fold_side,
-                        horizon as isize,
-                    )
-                    .map_or(horizon as isize, |b| b.distance);
-                    for j in 1..=horizon as isize {
-                        let other = &cells[chain.nb(i, j * run.dir())];
-                        if let Some(s) = other.get(run.dir()) {
-                            let same_axis = (s.fold_side.dx == 0) == (run.fold_side.dx == 0);
-                            if same_axis && j <= line_extent {
-                                if self.saw_sequent.contains(&run.id) {
-                                    self.summary.sequent_visibility_violations += 1;
-                                } else {
-                                    sees_now.push(run.id);
-                                }
+        self.codes.decode(chain, self.view.max(4));
+        for &LiveRun { robot: i, run } in strategy.live_runs() {
+            let robot = chain.id(i);
+            let succ = chain.id(chain.nb(i, run.dir()));
+            now.insert(
+                run.id,
+                RunTrack {
+                    robot,
+                    expected_next: succ,
+                },
+            );
+            // Lemma 3.3: no sequent run visible in front *on the same
+            // quasi line* (same direction, same line orientation,
+            // within the line's visible extent) — mirrors the
+            // strategy's own scoping of Table 1.1.
+            if run.mode == RunMode::Normal {
+                let horizon = self.view.min(chain.len().saturating_sub(1));
+                let line_extent = crate::quasi::quasi_break_ahead(
+                    self.codes.view(i),
+                    run.dir(),
+                    run.fold_code(),
+                    horizon as isize,
+                )
+                .map_or(horizon as isize, |b| b.distance);
+                for j in 1..=horizon as isize {
+                    if let Some(s) = strategy.run_at(chain.nb(i, j * run.dir()), run.dir()) {
+                        let same_axis = (s.fold_side.dx == 0) == (run.fold_side.dx == 0);
+                        if same_axis && j <= line_extent {
+                            if self.saw_sequent.contains(&run.id) {
+                                self.summary.sequent_visibility_violations += 1;
+                            } else {
+                                sees_now.push(run.id);
                             }
-                            break;
                         }
+                        break;
                     }
                 }
             }
@@ -419,7 +418,7 @@ impl LemmaAuditor {
             .max()
             .unwrap_or(0);
         self.summary.total_merged_robots = self.summary.initial_n - self.summary.final_n;
-        self.summary.live_runs_at_end = strategy.cells().iter().map(|c| c.count()).sum();
+        self.summary.live_runs_at_end = strategy.live_runs().len();
     }
 
     /// The pair records collected so far.

@@ -27,8 +27,22 @@
 //! describes — a property checked by `tests::local_equivalence`.
 
 use crate::config::GatherConfig;
-use chain_sim::ClosedChain;
+use chain_sim::packed::{edge_offset, opposite, perpendicular};
+use chain_sim::{ClosedChain, EdgeCodes};
 use grid_geom::Offset;
+
+/// Reduce an index below `2n` into `0..n`. Every index the scan walks is
+/// a chain index plus a distance of at most `n`, so one compare replaces
+/// the division.
+#[inline]
+fn wrap(i: usize, n: usize) -> usize {
+    debug_assert!(i < 2 * n);
+    if i >= n {
+        i - n
+    } else {
+        i
+    }
+}
 
 /// A detected merge pattern (indices are current chain indices).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +87,8 @@ pub struct MergeScan {
     /// ones) in which the robot is a black; 0 if none. Drives the
     /// staggered expiry of oscillation suppression (strategy.rs).
     pub inherent_k: Vec<u8>,
+    /// Decode buffer of [`MergeScan::scan`].
+    codes: EdgeCodes,
 }
 
 impl MergeScan {
@@ -100,22 +116,24 @@ impl MergeScan {
     /// opposite perpendicular steps, with `k` bounded by the config's
     /// effective maximum, and accumulates hop roles.
     pub fn scan(&mut self, chain: &ClosedChain, cfg: &GatherConfig) {
-        self.scan_suppressed(chain, cfg, &[]);
+        let mut codes = std::mem::take(&mut self.codes);
+        codes.decode(chain, 0);
+        self.scan_codes(&codes, cfg, &[]);
+        self.codes = codes;
     }
 
-    /// [`MergeScan::scan`] with per-robot oscillation suppression: a
-    /// pattern fires only if none of its robots is currently suppressed
-    /// (see `strategy.rs` — robots that detect a period-2 oscillation of
-    /// their local view hold their merge hops for 2L rounds so the runner
-    /// machinery can break the symmetry). `suppressed` may be empty (no
-    /// suppression) or one flag per robot.
-    pub fn scan_suppressed(
-        &mut self,
-        chain: &ClosedChain,
-        cfg: &GatherConfig,
-        suppressed: &[bool],
-    ) {
-        let n = chain.len();
+    /// [`MergeScan::scan`] over the chain's decoded edge codes, with
+    /// per-robot oscillation suppression: a pattern fires only if none of
+    /// its blacks is currently suppressed (see `strategy.rs` — robots that
+    /// detect a period-2 oscillation of their local view hold their merge
+    /// hops for 2L rounds so the runner machinery can break the
+    /// symmetry). `suppressed` may be empty (no suppression) or one flag
+    /// per robot.
+    ///
+    /// On codes, "equal steps" is byte equality, "opposite" is `c ^ 2`
+    /// and "perpendicular" a differing bit 0.
+    pub fn scan_codes(&mut self, codes: &EdgeCodes, cfg: &GatherConfig, suppressed: &[bool]) {
+        let n = codes.len();
         self.reset(n);
         if n < 4 {
             // n = 2 is always gathered; n = 3 cannot be a closed grid chain
@@ -124,11 +142,14 @@ impl MergeScan {
         }
         debug_assert!(suppressed.is_empty() || suppressed.len() == n);
         let max_k = cfg.effective_max_k();
+        let c = codes.codes();
+        let wrap = |i: usize| wrap(i, n);
+        let prev = |i: usize| if i == 0 { n - 1 } else { i - 1 };
 
         // Decompose the cyclic step sequence into maximal monotone runs.
         // Anchor at a run boundary so no run wraps.
         let mut anchor = 0;
-        while chain.step(chain.nb(anchor, -1)) == chain.step(anchor) {
+        while c[prev(anchor)] == c[anchor] {
             anchor += 1;
             if anchor == n {
                 // All steps equal — impossible for a closed chain (the step
@@ -141,26 +162,25 @@ impl MergeScan {
         // Walk runs: `s` indexes steps cyclically starting at `anchor`.
         let mut s = 0;
         while s < n {
-            let step_idx = (anchor + s) % n;
-            let u = chain.step(step_idx);
+            let first = wrap(anchor + s);
+            let u = c[first];
             let mut len = 1;
-            while len < n - s && chain.step((anchor + s + len) % n) == u {
+            while len < n - s && c[wrap(first + len)] == u {
                 len += 1;
             }
             // Run of `len` equal steps covers robots
-            // first .. first + len (len + 1 robots) where
-            // first = (anchor + s) % n is the robot the first step leaves.
-            let first = (anchor + s) % n;
+            // first .. first + len (len + 1 robots) where `first` is the
+            // robot the first step leaves.
             let k = len + 1; // black candidate length
-            let flank_in = chain.step(chain.nb(first, -1)); // step into first
-            let flank_out = chain.step(chain.nb(first, len as isize)); // step out of last
-            if k <= max_k && flank_in == -flank_out && flank_out.perpendicular_to(u) {
+            let flank_in = c[prev(first)]; // step into first
+            let flank_out = c[wrap(first + len)]; // step out of last
+            if k <= max_k && flank_in == opposite(flank_out) && perpendicular(flank_out, u) {
                 self.try_push(
-                    chain,
+                    n,
                     MergePattern {
                         first_black: first,
                         k,
-                        dir: flank_out,
+                        dir: edge_offset(flank_out),
                     },
                     suppressed,
                 );
@@ -172,15 +192,13 @@ impl MergeScan {
         // opposites (fold/hairpin tip, Fig. 2 bottom). These robots sit
         // *between* two monotone runs and are not covered above.
         for i in 0..n {
-            let s_in = chain.step(chain.nb(i, -1));
-            let s_out = chain.step(i);
-            if s_in == -s_out {
+            if c[prev(i)] == opposite(c[i]) {
                 self.try_push(
-                    chain,
+                    n,
                     MergePattern {
                         first_black: i,
                         k: 1,
-                        dir: s_out,
+                        dir: edge_offset(c[i]),
                     },
                     suppressed,
                 );
@@ -188,31 +206,26 @@ impl MergeScan {
         }
     }
 
-    fn try_push(&mut self, chain: &ClosedChain, p: MergePattern, suppressed: &[bool]) {
+    fn try_push(&mut self, n: usize, p: MergePattern, suppressed: &[bool]) {
+        let blacks = || (p.first_black..p.first_black + p.k).map(|b| wrap(b, n));
         // Inherent blackness is recorded for every *detected* pattern,
         // fired or not — it drives the staggered expiry of oscillation
         // suppression.
-        for b in p.blacks(chain) {
+        for b in blacks() {
             self.inherent_k[b] = self.inherent_k[b].max(p.k.min(255) as u8);
         }
-        if !suppressed.is_empty() {
-            // Oscillation suppression is pattern-wide over the *blacks*: a
-            // pattern with any suppressed black does not fire (partial
-            // firing would break the rigid-translation safety of the black
-            // segment). Suppressed whites are fine — they stand still,
-            // which is exactly what a merge target must do.
-            if p.blacks(chain).any(|r| suppressed[r]) {
-                return;
-            }
+        // Oscillation suppression is pattern-wide over the *blacks*: a
+        // pattern with any suppressed black does not fire (partial firing
+        // would break the rigid-translation safety of the black segment).
+        // Suppressed whites are fine — they stand still, which is exactly
+        // what a merge target must do.
+        if !suppressed.is_empty() && blacks().any(|r| suppressed[r]) {
+            return;
         }
-        self.push_pattern(chain, p);
-    }
-
-    fn push_pattern(&mut self, chain: &ClosedChain, p: MergePattern) {
         // Accumulate roles. Two black roles on one robot are always
         // orthogonal (a horizontal and a vertical pattern meeting at a
         // corner, Fig. 3b) — the sum is the paper's diagonal hop.
-        for b in p.blacks(chain) {
+        for b in blacks() {
             debug_assert!(
                 (self.hop[b] + p.dir).is_hop(),
                 "conflicting black roles at {b}: {:?} + {:?}",
@@ -222,8 +235,8 @@ impl MergeScan {
             self.hop[b] += p.dir;
             self.black[b] = true;
         }
-        self.white[p.w1(chain)] = true;
-        self.white[p.w2(chain)] = true;
+        self.white[wrap(p.first_black + n - 1, n)] = true;
+        self.white[wrap(p.first_black + p.k, n)] = true;
         self.patterns.push(p);
     }
 

@@ -8,12 +8,15 @@
 //! toward each other that cannot enable a merge *pass* each other without
 //! reshaping (Fig. 8/14).
 //!
-//! The gathering strategy stores one optional run per chain direction per
-//! robot ([`RunCell`]). Two same-direction runs can never share a robot:
-//! termination condition 1 of Table 1 removes the rear run before contact
-//! (pipelining distance L = 13 > V = 11 keeps fresh runs apart).
+//! The gathering strategy stores its live runs as a sparse, index-sorted
+//! list ([`LiveRun`]) plus one [`Occupancy`] byte per robot: at most one
+//! run per chain direction per robot. Two same-direction runs can never
+//! share a robot: termination condition 1 of Table 1 removes the rear run
+//! before contact (pipelining distance L = 13 > V = 11 keeps fresh runs
+//! apart).
 
 use crate::quasi::StartShape;
+use chain_sim::packed::edge_code;
 use chain_sim::RobotId;
 use grid_geom::Offset;
 
@@ -74,52 +77,76 @@ impl Run {
     pub fn dir(&self) -> isize {
         self.dir as isize
     }
+
+    /// The fold side as a [`chain_sim::packed`] edge code.
+    #[inline]
+    pub fn fold_code(&self) -> u8 {
+        edge_code(self.fold_side).expect("fold sides are unit steps")
+    }
 }
 
-/// The runs held by one robot: at most one per chain direction.
+/// A live run and the chain index of the robot carrying it. The strategy
+/// keeps its live runs as a list of these, sorted by robot and, per
+/// robot, forward before backward — the order the paper's simultaneous
+/// decisions are bookkept in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LiveRun {
+    /// Chain index of the runner.
+    pub robot: usize,
+    /// The run state.
+    pub run: Run,
+}
+
+impl LiveRun {
+    /// Sort key of the live-run list.
+    #[inline]
+    pub fn key(&self) -> (usize, bool) {
+        (self.robot, self.run.dir < 0)
+    }
+}
+
+/// Which chain directions of one robot hold a run, and each run's fold
+/// side — one byte per robot, all the run-ahead scans of a decision read.
+///
+/// Bit 0 / bit 1 flag a forward / backward run; bits 2–3 / 4–5 hold its
+/// fold side as a [`chain_sim::packed`] edge code. Two same-direction runs
+/// can never share a robot (Table 1.1 removes the rear run first).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunCell {
-    pub fwd: Option<Run>,
-    pub bwd: Option<Run>,
-}
+pub struct Occupancy(u8);
 
-impl RunCell {
-    pub const EMPTY: RunCell = RunCell {
-        fwd: None,
-        bwd: None,
-    };
+impl Occupancy {
+    /// No run on the robot.
+    pub const EMPTY: Occupancy = Occupancy(0);
 
     #[inline]
-    pub fn get(&self, dir: isize) -> Option<&Run> {
-        if dir > 0 {
-            self.fwd.as_ref()
-        } else {
-            self.bwd.as_ref()
-        }
+    fn slot(dir: isize) -> u32 {
+        u32::from(dir < 0)
     }
 
+    /// Fold-side code of the run moving in `dir`, if any.
     #[inline]
-    pub fn slot_mut(&mut self, dir: isize) -> &mut Option<Run> {
-        if dir > 0 {
-            &mut self.fwd
-        } else {
-            &mut self.bwd
-        }
+    pub fn get(self, dir: isize) -> Option<u8> {
+        let s = Self::slot(dir);
+        (self.0 >> s & 1 != 0).then_some(self.0 >> (2 + 2 * s) & 3)
     }
 
+    /// Record a run moving in `dir` with fold-side code `fold`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.fwd.is_none() && self.bwd.is_none()
+    pub fn set(&mut self, dir: isize, fold: u8) {
+        let s = Self::slot(dir);
+        self.0 = self.0 & !(1 << s | 3 << (2 + 2 * s)) | 1 << s | (fold & 3) << (2 + 2 * s);
     }
 
-    /// Number of runs on this robot (0..=2).
+    /// `true` if the robot holds no run.
     #[inline]
-    pub fn count(&self) -> usize {
-        usize::from(self.fwd.is_some()) + usize::from(self.bwd.is_some())
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Run> {
-        self.fwd.iter().chain(self.bwd.iter())
+    /// Number of runs on the robot (0..=2).
+    #[inline]
+    pub fn count(self) -> usize {
+        (self.0 & 3).count_ones() as usize
     }
 }
 
@@ -198,14 +225,39 @@ mod tests {
 
     #[test]
     fn cell_slots_by_direction() {
-        let mut cell = RunCell::EMPTY;
+        use chain_sim::packed::{EDGE_N, EDGE_S, EDGE_W};
+        let mut cell = Occupancy::EMPTY;
         assert!(cell.is_empty());
-        *cell.slot_mut(1) = Some(run(1));
-        *cell.slot_mut(-1) = Some(run(-1));
+        cell.set(1, EDGE_N);
+        assert_eq!(
+            (cell.get(1), cell.get(-1), cell.count()),
+            (Some(EDGE_N), None, 1)
+        );
+        cell.set(-1, EDGE_W);
         assert_eq!(cell.count(), 2);
-        assert_eq!(cell.get(1).unwrap().dir, 1);
-        assert_eq!(cell.get(-1).unwrap().dir, -1);
-        assert_eq!(cell.iter().count(), 2);
+        assert_eq!(cell.get(1), Some(EDGE_N));
+        assert_eq!(cell.get(-1), Some(EDGE_W));
+        // Re-setting a slot replaces its fold side only.
+        cell.set(1, EDGE_S);
+        assert_eq!((cell.get(1), cell.get(-1)), (Some(EDGE_S), Some(EDGE_W)));
+        // The live-run order: by robot, forward before backward.
+        let a = LiveRun {
+            robot: 3,
+            run: run(-1),
+        };
+        let b = LiveRun {
+            robot: 3,
+            run: run(1),
+        };
+        assert!(b.key() < a.key());
+        assert!(
+            a.key()
+                < LiveRun {
+                    robot: 4,
+                    run: run(1)
+                }
+                .key()
+        );
     }
 
     #[test]

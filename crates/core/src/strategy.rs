@@ -20,9 +20,11 @@
 use crate::config::GatherConfig;
 use crate::merge::MergeScan;
 use crate::quasi::{self, StartShape};
-use crate::runs::{Run, RunAction, RunCell, RunMode, RunStats, StopReason};
-use chain_sim::{ClosedChain, Ring, RobotId, SpliceLog, Strategy};
+use crate::runs::{LiveRun, Occupancy, Run, RunAction, RunMode, RunStats, StopReason};
+use chain_sim::packed::{edge_offset, perpendicular};
+use chain_sim::{ClosedChain, EdgeCodes, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
+use std::sync::OnceLock;
 
 /// Instrumentation events (consumed by the audit module and tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,23 +56,103 @@ pub enum RunEvent {
     },
 }
 
+/// Signature histories of a robot with no past (fresh chains and merge
+/// keepers): two distinct values no window class takes.
+const NO_SIG: u16 = u16::MAX;
+const NO_SIG2: u16 = u16::MAX - 1;
+
+/// The local-view signature of the robot whose six surrounding edges
+/// (`i − 3 ..= i + 2`, two bits each, the oldest lowest) form `window`: an
+/// FNV hash of the relative positions of its ±3 chain neighbors.
+/// Constant-size robot memory, used to witness the period-2 "swap"
+/// livelock (DESIGN.md §2.3): a closed cycle of mutually interfering
+/// merge patterns makes every participant hop back and forth between
+/// exactly two local views without any merge.
+fn window_signature(window: usize) -> u64 {
+    let e = |t: usize| edge_offset((window >> (2 * t)) as u8 & 3);
+    let rel = [
+        -(e(0) + e(1) + e(2)),
+        -(e(1) + e(2)),
+        -e(2),
+        e(3),
+        e(3) + e(4),
+        e(3) + e(4) + e(5),
+    ];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in rel {
+        for v in [r.dx, r.dy] {
+            h ^= v as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Window → signature class: the rank of the window's hash among the
+/// distinct hash values. The hash is not injective on windows (4096
+/// windows, 3646 distinct hashes), so the class — not the raw window — is
+/// what preserves signature equality, and with it which robots detect an
+/// oscillation.
+fn signature_classes() -> &'static [u16; 4096] {
+    static TABLE: OnceLock<Box<[u16; 4096]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let hashes: Vec<u64> = (0..4096).map(window_signature).collect();
+        let mut distinct = hashes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut table = Box::new([0u16; 4096]);
+        for (class, h) in table.iter_mut().zip(&hashes) {
+            *class = distinct.binary_search(h).expect("hash is listed") as u16;
+        }
+        table
+    })
+}
+
+/// Drop the entries at the ascending, non-empty index list `removed`.
+fn compact<T: Copy>(v: &mut Vec<T>, removed: &[usize]) {
+    let mut write = removed[0];
+    for (k, &r) in removed.iter().enumerate() {
+        let end = removed.get(k + 1).copied().unwrap_or(v.len());
+        v.copy_within(r + 1..end, write);
+        write += end - r - 1;
+    }
+    v.truncate(write);
+}
+
 /// The paper's algorithm as a [`Strategy`].
+///
+/// Each round decodes the chain once into edge codes; every shape
+/// predicate reads those. Live runs are a sparse list sorted by robot
+/// index, with a dense occupancy byte per robot for the run-ahead scans.
 pub struct ClosedChainGathering {
     cfg: GatherConfig,
+    /// This round's chain as edge codes.
+    codes: EdgeCodes,
     scan: MergeScan,
-    cells: Vec<RunCell>,
-    staged: Vec<RunCell>,
-    /// Fold hop each robot's runs agreed on this round (`None` = no fold).
-    fold_hop: Vec<Option<Offset>>,
-    /// Per-robot local-view signatures of the previous two rounds and the
-    /// oscillation-suppression countdown (see `detect_oscillation`).
-    sig_prev: Vec<u64>,
-    sig_prev2: Vec<u64>,
+    /// Live runs, sorted by [`LiveRun::key`].
+    runs: Vec<LiveRun>,
+    /// Per-robot occupancy of `runs`.
+    occ: Vec<Occupancy>,
+    /// Runs arriving for the next round (sorted at the end of `compute`)
+    /// and their occupancy, which is all empty between rounds.
+    staged: Vec<LiveRun>,
+    staged_occ: Vec<Occupancy>,
+    /// Fold hop each runner's runs agreed on this round, ascending by
+    /// robot (`None` = two runs demanded different folds).
+    folds: Vec<(usize, Option<Offset>)>,
+    /// Per-robot local-view signature classes of the previous two rounds
+    /// and the oscillation-suppression countdown (see
+    /// `detect_oscillation`).
+    sig_prev: Vec<u16>,
+    sig_prev2: Vec<u16>,
     suppress: Vec<u16>,
     suppress_flags: Vec<bool>,
     /// Previous round's inherent pattern sizes, compacted through splices
     /// (drives staggered suppression expiry).
     prev_inherent_k: Vec<u8>,
+    /// `post_merge` scratch: the splice's keeper indices and merged ids.
+    keepers: Vec<usize>,
+    merged_ids: Vec<RobotId>,
     next_run_id: u64,
     stats: RunStats,
     events: Vec<RunEvent>,
@@ -82,15 +164,20 @@ impl ClosedChainGathering {
         cfg.validate().expect("invalid gathering configuration");
         ClosedChainGathering {
             cfg,
+            codes: EdgeCodes::default(),
             scan: MergeScan::default(),
-            cells: Vec::new(),
+            runs: Vec::new(),
+            occ: Vec::new(),
             staged: Vec::new(),
-            fold_hop: Vec::new(),
+            staged_occ: Vec::new(),
+            folds: Vec::new(),
             sig_prev: Vec::new(),
             sig_prev2: Vec::new(),
             suppress: Vec::new(),
             suppress_flags: Vec::new(),
             prev_inherent_k: Vec::new(),
+            keepers: Vec::new(),
+            merged_ids: Vec::new(),
             next_run_id: 0,
             stats: RunStats::default(),
             events: Vec::new(),
@@ -117,9 +204,18 @@ impl ClosedChainGathering {
         &self.stats
     }
 
-    /// Current run cells (parallel to chain indices) — for auditors/tests.
-    pub fn cells(&self) -> &[RunCell] {
-        &self.cells
+    /// Current live runs, sorted by robot index — for auditors/tests.
+    pub fn live_runs(&self) -> &[LiveRun] {
+        &self.runs
+    }
+
+    /// The run robot `index` holds in chain direction `dir`, if any.
+    pub fn run_at(&self, index: usize, dir: isize) -> Option<&Run> {
+        let key = (index, dir < 0);
+        self.runs
+            .binary_search_by_key(&key, LiveRun::key)
+            .ok()
+            .map(|k| &self.runs[k].run)
     }
 
     /// Drain recorded events.
@@ -138,24 +234,6 @@ impl ClosedChainGathering {
         }
     }
 
-    /// Local-view signature: a hash of the relative positions of the ±3
-    /// chain neighbors. Constant-size robot memory, used to witness the
-    /// period-2 "swap" livelock (DESIGN.md §2.3): a closed cycle of
-    /// mutually interfering merge patterns makes every participant hop
-    /// back and forth between exactly two local views without any merge.
-    fn local_signature(chain: &ClosedChain, i: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let p = chain.pos(i);
-        for d in [-3isize, -2, -1, 1, 2, 3] {
-            let q = chain.pos(chain.nb(i, d));
-            for v in [q.x - p.x, q.y - p.y] {
-                h ^= v as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
     /// Update signature histories and the suppression countdowns; fill
     /// `suppress_flags` for this round's merge scan.
     ///
@@ -172,22 +250,31 @@ impl ClosedChainGathering {
     /// rounds. Larger patterns resume first and fire onto still-suppressed
     /// (standing) whites, which breaks the symmetric ties that uniform
     /// suppression cannot (e.g. a k=3 segment whose whites are k=1 blacks).
-    fn detect_oscillation(&mut self, chain: &ClosedChain) {
-        let n = chain.len();
+    ///
+    /// The signature of robot `i` is a table lookup on the 12-bit window
+    /// of its six surrounding edge codes, slid one edge per robot.
+    fn detect_oscillation(&mut self) {
+        let n = self.codes.len();
         debug_assert_eq!(self.sig_prev.len(), n);
+        let classes = signature_classes();
+        let codes = &self.codes;
         self.suppress_flags.clear();
         self.suppress_flags.resize(n, false);
         let base = 2 * self.cfg.l_period + 2;
-        // Inherent pattern sizes from the previous round's scan, compacted
-        // through splices in post_merge so indices stay aligned.
-        let prev_k = &self.prev_inherent_k;
+        let mut window = (0..6).fold(0usize, |w, t| {
+            w | usize::from(codes.edge(0, t as isize - 3)) << (2 * t)
+        });
         for i in 0..n {
-            let sig = Self::local_signature(chain, i);
+            let sig = classes[window];
+            window = window >> 2 | usize::from(codes.edge(i, 3)) << 10;
             if self.suppress[i] > 0 {
                 self.suppress[i] -= 1;
             }
             if sig == self.sig_prev2[i] && sig != self.sig_prev[i] {
-                let k = prev_k.get(i).copied().unwrap_or(0) as u64;
+                // Inherent pattern sizes from the previous round's scan,
+                // compacted through splices in post_merge so indices stay
+                // aligned.
+                let k = u64::from(self.prev_inherent_k[i]);
                 self.suppress[i] = (base - k.min(self.cfg.l_period)) as u16;
                 self.stats.suppressions += 1;
             }
@@ -207,38 +294,77 @@ impl ClosedChainGathering {
         });
     }
 
+    /// Place `run` on robot `i` for the next round.
+    fn stage(&mut self, i: usize, run: Run) {
+        self.staged_occ[i].set(run.dir(), run.fold_code());
+        self.staged.push(LiveRun { robot: i, run });
+    }
+
+    /// Record that a run on robot `i` folds by `hop` this round.
+    fn record_fold(&mut self, round: u64, run: &Run, robot: RobotId, i: usize, hop: Offset) {
+        // Runs of one robot are adjacent in the list, so only the last
+        // entry can belong to `i`.
+        let fresh = match self.folds.last_mut() {
+            Some((r, slot)) if *r == i => match *slot {
+                None => {
+                    *slot = Some(hop);
+                    true
+                }
+                Some(existing) if existing == hop => false,
+                Some(_) => {
+                    // Two runs demanding different folds on one robot:
+                    // both walk (safety).
+                    *slot = None;
+                    false
+                }
+            },
+            _ => {
+                self.folds.push((i, Some(hop)));
+                true
+            }
+        };
+        if fresh {
+            self.stats.folds += 1;
+            self.emit(RunEvent::Folded {
+                round,
+                run_id: run.id,
+                robot,
+            });
+        }
+    }
+
     /// Decide what one run does this round (pure w.r.t. `self` except for
     /// statistics/events, which are recorded by the caller).
-    fn decide(&self, chain: &ClosedChain, round: u64, i: usize, run: &Run) -> RunAction {
+    fn decide(&self, chain: &ClosedChain, i: usize, run: &Run) -> RunAction {
         let n = chain.len();
         let d = run.dir();
-        let horizon = self.cfg.view.min(n.saturating_sub(1));
-        let v = Ring::with_horizon(chain, i, self.cfg.view.max(3) + 1);
+        let horizon = self.cfg.view.min(n.saturating_sub(1)) as isize;
+        let v = self.codes.view(i);
+        let fold = run.fold_code();
 
         // --- Extent of the quasi line ahead (used by conditions 1 and 2):
         // a run only reasons about runs and endpoints *on its own line*.
-        let brk = quasi::quasi_break_ahead(&v, d, run.fold_side, horizon as isize);
-        let line_extent: isize = brk.map_or(horizon as isize, |b| b.distance);
+        let brk = quasi::quasi_break_ahead(v, d, fold, horizon);
+        let line_extent: isize = brk.map_or(horizon, |b| b.distance);
 
         // --- Scan ahead: sequent runs (Table 1.1) and opposing runs. ---
         // "The next sequent run in front of it" is a same-direction run on
         // the same quasi line: same fold-side axis, not beyond the line's
         // visible end. (A run beyond a corner belongs to another line;
         // killing for it would mass-extinguish runs on square rings.)
-        let same_axis = |a: Offset, b: Offset| (a.dx == 0) == (b.dx == 0);
-        let mut opposing: Option<(isize, Offset)> = None;
-        for j in 1..=horizon as isize {
-            let idx = chain.nb(i, j * d);
-            let cell = &self.cells[idx];
+        let mut opposing: Option<(isize, u8)> = None;
+        for j in 1..=horizon {
+            let cell = self.occ[chain.nb(i, j * d)];
+            if cell.is_empty() {
+                continue;
+            }
             if let Some(s) = cell.get(d) {
-                if same_axis(s.fold_side, run.fold_side) && j <= line_extent {
+                if !perpendicular(s, fold) && j <= line_extent {
                     return RunAction::Die(StopReason::SequentAhead);
                 }
             }
             if opposing.is_none() {
-                if let Some(o) = cell.get(-d) {
-                    opposing = Some((j, o.fold_side));
-                }
+                opposing = cell.get(-d).map(|o| (j, o));
             }
         }
 
@@ -258,7 +384,7 @@ impl ClosedChainGathering {
             if chain.id(i) == target {
                 // Arrived at the target corner: return to normal operation.
                 next.mode = RunMode::Normal;
-            } else if chain.index_of(target).is_none() {
+            } else if !Self::target_on_chain(chain, i, d, horizon, target) {
                 // Target corner removed by a merge (Table 1.4/5).
                 return RunAction::Die(StopReason::TargetRemoved);
             } else {
@@ -267,7 +393,7 @@ impl ClosedChainGathering {
         }
 
         if let Some((j, other_side)) = opposing {
-            if j <= 3 && other_side != next.fold_side {
+            if j <= 3 && other_side != fold {
                 // Non-good pair approaching: pass each other without
                 // reshaping, targeting the robot the opposing run sits on.
                 let target = chain.id(chain.nb(i, j * d));
@@ -278,68 +404,80 @@ impl ClosedChainGathering {
 
         // --- Reshapement (Fig. 6 / Fig. 11a). ---
         let may_fold = !self.scan.participates(i) && next.walk_budget == 0;
-        if may_fold {
-            let behind = v.abs(-d) - v.abs(0);
-            if behind == next.fold_side {
-                let f1 = v.abs(d) - v.abs(0);
-                if f1.perpendicular_to(behind)
-                    && v.abs(2 * d) - v.abs(d) == f1
-                    && v.abs(3 * d) - v.abs(2 * d) == f1
-                {
-                    if next.op_c_pending {
-                        // Op c (Fig. 11c): one diagonal hop, then walk.
-                        next.op_c_pending = false;
-                        next.walk_budget = 3;
-                    }
-                    return RunAction::Advance {
-                        fold: Some(f1 + behind),
-                        next,
-                    };
+        if may_fold && v.step(-d, 0) == fold {
+            // Behind-neighbor on the fold side, the next three robots
+            // ahead aligned perpendicular to it.
+            let f1 = v.step(d, 0);
+            if perpendicular(f1, fold) && v.step(d, 1) == f1 && v.step(d, 2) == f1 {
+                if next.op_c_pending {
+                    // Op c (Fig. 11c): one diagonal hop, then walk.
+                    next.op_c_pending = false;
+                    next.walk_budget = 3;
                 }
+                return RunAction::Advance {
+                    fold: Some(edge_offset(f1) + run.fold_side),
+                    next,
+                };
             }
         }
         if next.walk_budget > 0 {
             next.walk_budget -= 1;
         }
-        let _ = round;
         RunAction::Advance { fold: None, next }
     }
 
-    /// Evaluate run starts (Fig. 5) at robot `i`; returns fresh runs.
+    /// Is the passing target still on the chain? It sits ahead within
+    /// view whenever passing starts (at most 3 robots) and the run closes
+    /// in by one robot per round, so the view is searched first; only a
+    /// miss pays for the full scan.
+    fn target_on_chain(
+        chain: &ClosedChain,
+        i: usize,
+        d: isize,
+        horizon: isize,
+        target: RobotId,
+    ) -> bool {
+        (1..=horizon).any(|j| chain.id(chain.nb(i, j * d)) == target)
+            || chain.index_of(target).is_some()
+    }
+
+    /// Evaluate run starts (Fig. 5) at robot `i`; fresh runs are staged
+    /// and act from the next round.
     fn try_starts(&mut self, chain: &ClosedChain, round: u64, i: usize) {
-        let v = Ring::with_horizon(chain, i, self.cfg.view.max(4));
-        for d in [1isize, -1] {
-            if let Some((shape, fold_side)) = quasi::run_start(&v, d) {
-                let slot = self.staged[i].slot_mut(d);
-                if slot.is_some() {
-                    // Occupied (arriving run): skip the start.
-                    continue;
-                }
-                let run = Run {
-                    id: self.next_run_id,
-                    dir: d as i8,
-                    fold_side,
-                    born: round,
-                    shape,
-                    mode: RunMode::Normal,
-                    walk_budget: 0,
-                    op_c_pending: self.cfg.op_c_walk && shape == StartShape::CornerEnd,
-                };
-                self.next_run_id += 1;
-                *slot = Some(run);
-                match shape {
-                    StartShape::StairwayEnd => self.stats.started_stairway += 1,
-                    StartShape::CornerEnd => self.stats.started_corner += 1,
-                }
-                self.emit(RunEvent::Started {
-                    round,
-                    run_id: run.id,
-                    robot: chain.id(i),
-                    dir: run.dir,
-                    fold_side,
-                    shape,
-                });
+        let v = self.codes.view(i);
+        let starts = [1isize, -1].map(|d| (d, quasi::run_start(v, d)));
+        for (d, start) in starts {
+            let Some((shape, fold_side)) = start else {
+                continue;
+            };
+            if self.staged_occ[i].get(d).is_some() {
+                // Occupied (arriving run): skip the start.
+                continue;
             }
+            let run = Run {
+                id: self.next_run_id,
+                dir: d as i8,
+                fold_side,
+                born: round,
+                shape,
+                mode: RunMode::Normal,
+                walk_budget: 0,
+                op_c_pending: self.cfg.op_c_walk && shape == StartShape::CornerEnd,
+            };
+            self.next_run_id += 1;
+            self.stage(i, run);
+            match shape {
+                StartShape::StairwayEnd => self.stats.started_stairway += 1,
+                StartShape::CornerEnd => self.stats.started_corner += 1,
+            }
+            self.emit(RunEvent::Started {
+                round,
+                run_id: run.id,
+                robot: chain.id(i),
+                dir: run.dir,
+                fold_side,
+                shape,
+            });
         }
     }
 }
@@ -351,16 +489,17 @@ impl Strategy for ClosedChainGathering {
 
     fn init(&mut self, chain: &ClosedChain) {
         let n = chain.len();
-        self.cells.clear();
-        self.cells.resize(n, RunCell::EMPTY);
+        self.runs.clear();
         self.staged.clear();
-        self.staged.resize(n, RunCell::EMPTY);
-        self.fold_hop.clear();
-        self.fold_hop.resize(n, None);
+        self.folds.clear();
+        self.occ.clear();
+        self.occ.resize(n, Occupancy::EMPTY);
+        self.staged_occ.clear();
+        self.staged_occ.resize(n, Occupancy::EMPTY);
         self.sig_prev.clear();
-        self.sig_prev.resize(n, u64::MAX);
+        self.sig_prev.resize(n, NO_SIG);
         self.sig_prev2.clear();
-        self.sig_prev2.resize(n, u64::MAX - 1);
+        self.sig_prev2.resize(n, NO_SIG2);
         self.suppress.clear();
         self.suppress.resize(n, 0);
         self.suppress_flags.clear();
@@ -371,101 +510,86 @@ impl Strategy for ClosedChainGathering {
 
     fn compute(&mut self, chain: &ClosedChain, round: u64, hops: &mut [Offset]) {
         let n = chain.len();
-        debug_assert_eq!(self.cells.len(), n, "cell array out of sync");
+        debug_assert_eq!(self.occ.len(), n, "run occupancy out of sync");
+        hops[..n].fill(Offset::ZERO);
+        self.codes.decode(chain, self.cfg.view.max(4));
+        if self.codes.is_empty() {
+            // A single robot is gathered; nothing to decide.
+            return;
+        }
 
         // Step 0: oscillation detection (constant-memory symmetry breaker
         // for closed interference cycles of merge patterns).
-        self.detect_oscillation(chain);
+        self.detect_oscillation();
 
         // Step 1: merge patterns (suppressed robots' patterns do not fire).
-        let flags = std::mem::take(&mut self.suppress_flags);
-        self.scan.scan_suppressed(chain, &self.cfg, &flags);
-        self.suppress_flags = flags;
+        self.scan
+            .scan_codes(&self.codes, &self.cfg, &self.suppress_flags);
 
-        // Step 2: run operations.
-        self.staged.clear();
-        self.staged.resize(n, RunCell::EMPTY);
-        self.fold_hop.clear();
-        self.fold_hop.resize(n, None);
-        let mut fold_conflict = false;
-
-        // Decide all runs from the same snapshot; stage arrivals.
-        for i in 0..n {
-            let cell = self.cells[i];
-            for run in [cell.fwd, cell.bwd].into_iter().flatten() {
-                if run.born >= round {
-                    // Born this round boundary: acts from the next round.
-                    *self.staged[i].slot_mut(run.dir()) = Some(run);
-                    continue;
+        // Step 2: run operations. Decide all runs from the same snapshot;
+        // stage arrivals.
+        let runs = std::mem::take(&mut self.runs);
+        debug_assert!(self.staged.is_empty());
+        self.folds.clear();
+        for lr in &runs {
+            let (i, run) = (lr.robot, lr.run);
+            if run.born >= round {
+                // Born this round boundary: acts from the next round.
+                self.staged.retain(|s| s.key() != lr.key());
+                self.stage(i, run);
+                continue;
+            }
+            match self.decide(chain, i, &run) {
+                RunAction::Die(reason) => {
+                    self.stop_run(round, &run, chain.id(i), reason);
                 }
-                match self.decide(chain, round, i, &run) {
-                    RunAction::Die(reason) => {
-                        self.stop_run(round, &run, chain.id(i), reason);
+                RunAction::Advance { fold, next } => {
+                    if next.mode != run.mode {
+                        if let RunMode::Passing { target } = next.mode {
+                            self.stats.passings_started += 1;
+                            self.emit(RunEvent::PassingStarted {
+                                round,
+                                run_id: run.id,
+                                robot: chain.id(i),
+                                target,
+                            });
+                        }
                     }
-                    RunAction::Advance { fold, next } => {
-                        if next.mode != run.mode {
-                            if let RunMode::Passing { target } = next.mode {
-                                self.stats.passings_started += 1;
-                                self.emit(RunEvent::PassingStarted {
-                                    round,
-                                    run_id: run.id,
-                                    robot: chain.id(i),
-                                    target,
-                                });
-                            }
-                        }
-                        if let Some(h) = fold {
-                            match self.fold_hop[i] {
-                                None => {
-                                    self.fold_hop[i] = Some(h);
-                                    self.stats.folds += 1;
-                                    self.emit(RunEvent::Folded {
-                                        round,
-                                        run_id: run.id,
-                                        robot: chain.id(i),
-                                    });
-                                }
-                                Some(existing) if existing == h => {}
-                                Some(_) => {
-                                    // Two runs demanding different folds on
-                                    // one robot: both walk (safety).
-                                    self.fold_hop[i] = None;
-                                    fold_conflict = true;
-                                }
-                            }
-                        } else {
-                            self.stats.walks += 1;
-                        }
-                        // Move the run state one robot further (Lemma 3.1).
-                        let dest = chain.nb(i, next.dir());
-                        let slot = self.staged[dest].slot_mut(next.dir());
-                        if slot.is_some() {
-                            // Arrival collision (only possible against a
-                            // just-started run; see runs.rs).
-                            self.stop_run(round, &next, chain.id(dest), StopReason::SlotCollision);
-                        } else {
-                            *slot = Some(next);
-                        }
+                    if let Some(h) = fold {
+                        self.record_fold(round, &run, chain.id(i), i, h);
+                    } else {
+                        self.stats.walks += 1;
+                    }
+                    // Move the run state one robot further (Lemma 3.1).
+                    let dest = chain.nb(i, next.dir());
+                    if self.staged_occ[dest].get(next.dir()).is_some() {
+                        // Arrival collision (only possible against a
+                        // just-started run; see runs.rs).
+                        self.stop_run(round, &next, chain.id(dest), StopReason::SlotCollision);
+                    } else {
+                        self.stage(dest, next);
                     }
                 }
             }
         }
-        let _ = fold_conflict;
 
         // Resolve hops: merge hop (blacks) > run fold > stand. Whites of
         // fired patterns stand still (their runs walked).
-        for (i, hop) in hops.iter_mut().enumerate().take(n) {
-            *hop = if self.scan.black[i] {
-                self.scan.hop[i]
-            } else if self.scan.white[i] {
-                Offset::ZERO
-            } else {
-                self.fold_hop[i].unwrap_or(Offset::ZERO)
-            };
+        for p in &self.scan.patterns {
+            for b in p.blacks(chain) {
+                hops[b] = self.scan.hop[b];
+            }
+        }
+        for &(i, fold) in &self.folds {
+            if let Some(h) = fold {
+                if !self.scan.participates(i) {
+                    hops[i] = h;
+                }
+            }
         }
 
         // Step 3: start new runs every L-th round, from the same snapshot.
-        // The started runs are placed in `staged` and act from round + 1.
+        // The started runs are staged and act from round + 1.
         if round.is_multiple_of(self.cfg.l_period) {
             for (i, hop) in hops.iter().enumerate().take(n) {
                 if *hop == Offset::ZERO && !self.scan.participates(i) {
@@ -474,41 +598,44 @@ impl Strategy for ClosedChainGathering {
             }
         }
 
-        std::mem::swap(&mut self.cells, &mut self.staged);
+        // The staged runs become the live list; the old list's buffer and
+        // occupancy (cleared where it was set) stage the next round.
+        self.staged.sort_unstable_by_key(LiveRun::key);
+        for lr in &runs {
+            self.occ[lr.robot] = Occupancy::EMPTY;
+        }
+        std::mem::swap(&mut self.occ, &mut self.staged_occ);
+        self.runs = std::mem::replace(&mut self.staged, runs);
+        self.staged.clear();
         self.prev_inherent_k.clear();
         self.prev_inherent_k
             .extend_from_slice(&self.scan.inherent_k);
-        let live: u64 = self.cells.iter().map(|c| c.count() as u64).sum();
-        self.stats.max_live_runs = self.stats.max_live_runs.max(live);
+        self.stats.max_live_runs = self.stats.max_live_runs.max(self.runs.len() as u64);
     }
 
     fn post_merge(&mut self, chain: &ClosedChain, round: u64, log: &SpliceLog) {
         if log.is_empty() {
-            debug_assert_eq!(self.cells.len(), chain.len());
+            debug_assert_eq!(self.occ.len(), chain.len());
             return;
         }
-        // Terminate runs on removed robots and on keepers (Table 1.3), then
-        // compact all per-robot state to the post-splice indexing.
-        let old_n = self.cells.len();
-        let mut keeper_flags = vec![false; old_n];
-        for &k in &log.keeper_indices {
-            keeper_flags[k] = true;
+        let removed = &log.removed_indices;
+        self.keepers.clear();
+        self.keepers.extend_from_slice(&log.keeper_indices);
+        self.keepers.sort_unstable();
+        self.keepers.dedup();
+
+        // Terminate runs on removed robots and on keepers (Table 1.3);
+        // move the others to their post-splice indices (list order is
+        // preserved: the remap is monotone).
+        let mut runs = std::mem::take(&mut self.runs);
+        for lr in &runs {
+            self.occ[lr.robot] = Occupancy::EMPTY;
         }
-        let mut new_cells = vec![RunCell::EMPTY; chain.len()];
-        let mut new_sig_prev = vec![u64::MAX; chain.len()];
-        let mut new_sig_prev2 = vec![u64::MAX - 1; chain.len()];
-        let mut new_suppress = vec![0u16; chain.len()];
-        let mut new_prev_k = vec![0u8; chain.len()];
-        let mut rm = log.removed_indices.iter().peekable();
-        let mut write = 0usize;
-        for (read, &keeper) in keeper_flags.iter().enumerate() {
-            let removed = rm.peek() == Some(&&read);
-            if removed {
-                rm.next();
-            }
-            let cell = self.cells[read];
-            for run in cell.iter() {
-                if removed {
+        let mut kept = 0;
+        for r in 0..runs.len() {
+            let LiveRun { robot, run } = runs[r];
+            match removed.binary_search(&robot) {
+                Ok(_) => {
                     self.stats.record_stop(StopReason::RobotRemoved);
                     self.emit(RunEvent::Stopped {
                         round,
@@ -516,62 +643,79 @@ impl Strategy for ClosedChainGathering {
                         robot: RobotId(u64::MAX),
                         reason: StopReason::RobotRemoved,
                     });
-                } else if keeper {
-                    self.stop_run(round, run, chain.id(write), StopReason::Merged);
                 }
-            }
-            if !removed {
-                if !keeper {
-                    new_cells[write] = cell;
+                Err(shift) if self.keepers.binary_search(&robot).is_ok() => {
+                    self.stop_run(round, &run, chain.id(robot - shift), StopReason::Merged);
                 }
-                // Keepers' signature histories and suppression reset (their
-                // neighborhood was rewritten by the merge, and which group
-                // member survives is an arbitrary labeling that must not
-                // influence the dynamics); others carry their state over.
-                if !keeper {
-                    new_sig_prev[write] = self.sig_prev[read];
-                    new_sig_prev2[write] = self.sig_prev2[read];
-                    new_suppress[write] = self.suppress[read];
-                    new_prev_k[write] = self.prev_inherent_k[read];
+                Err(shift) => {
+                    runs[kept] = LiveRun {
+                        robot: robot - shift,
+                        run,
+                    };
+                    kept += 1;
                 }
-                write += 1;
             }
         }
-        debug_assert_eq!(write, chain.len());
-        self.cells = new_cells;
-        self.sig_prev = new_sig_prev;
-        self.sig_prev2 = new_sig_prev2;
-        self.suppress = new_suppress;
-        self.prev_inherent_k = new_prev_k;
-        self.staged.clear();
-        self.staged.resize(chain.len(), RunCell::EMPTY);
+        runs.truncate(kept);
+
+        // Compact all per-robot state to the post-splice indexing.
+        // Keepers' signature histories and suppression reset (their
+        // neighborhood was rewritten by the merge, and which group member
+        // survives is an arbitrary labeling that must not influence the
+        // dynamics); others carry their state over.
+        compact(&mut self.sig_prev, removed);
+        compact(&mut self.sig_prev2, removed);
+        compact(&mut self.suppress, removed);
+        compact(&mut self.prev_inherent_k, removed);
+        for &k in &self.keepers {
+            let w = k - removed.partition_point(|&r| r < k);
+            self.sig_prev[w] = NO_SIG;
+            self.sig_prev2[w] = NO_SIG2;
+            self.suppress[w] = 0;
+            self.prev_inherent_k[w] = 0;
+        }
+        self.occ.truncate(chain.len());
+        self.staged_occ.truncate(chain.len());
+        debug_assert_eq!(self.sig_prev.len(), chain.len());
 
         // Table 1.4/5: a passing run terminates when its target corner was
         // "removed because of a merge operation". Both members of a spliced
         // coincidence group count as removed — which one keeps its id is an
         // arbitrary labeling the robots cannot observe.
-        let mut merged_ids: Vec<RobotId> = Vec::new();
-        for ev in &log.events {
-            merged_ids.push(ev.keeper);
-            merged_ids.extend_from_slice(&ev.removed);
-        }
-        merged_ids.sort_unstable();
-        for i in 0..self.cells.len() {
-            let cell = self.cells[i];
-            for run in cell.iter() {
-                if let crate::runs::RunMode::Passing { target } = run.mode {
-                    if merged_ids.binary_search(&target).is_ok() {
-                        self.stop_run(round, run, chain.id(i), StopReason::TargetRemoved);
-                        *self.cells[i].slot_mut(run.dir()) = None;
+        if runs
+            .iter()
+            .any(|lr| matches!(lr.run.mode, RunMode::Passing { .. }))
+        {
+            self.merged_ids.clear();
+            for ev in &log.events {
+                self.merged_ids.push(ev.keeper);
+                self.merged_ids.extend_from_slice(&ev.removed);
+            }
+            self.merged_ids.sort_unstable();
+            let mut kept = 0;
+            for r in 0..runs.len() {
+                let lr = runs[r];
+                if let RunMode::Passing { target } = lr.run.mode {
+                    if self.merged_ids.binary_search(&target).is_ok() {
+                        let robot = chain.id(lr.robot);
+                        self.stop_run(round, &lr.run, robot, StopReason::TargetRemoved);
+                        continue;
                     }
                 }
+                runs[kept] = lr;
+                kept += 1;
             }
+            runs.truncate(kept);
         }
+        for lr in &runs {
+            self.occ[lr.robot].set(lr.run.dir(), lr.run.fold_code());
+        }
+        self.runs = runs;
     }
 
     fn marker(&self, index: usize) -> Option<char> {
-        let cell = self.cells.get(index)?;
-        match (cell.fwd.is_some(), cell.bwd.is_some()) {
+        let cell = self.occ.get(index)?;
+        match (cell.get(1).is_some(), cell.get(-1).is_some()) {
             (true, true) => Some('X'),
             (true, false) => Some('>'),
             (false, true) => Some('<'),
@@ -676,6 +820,78 @@ mod tests {
         assert_eq!(strat.stats().started_corner, 8);
         let outcome = sim.run_default();
         assert!(outcome.is_gathered(), "{outcome:?}");
+    }
+
+    /// The original per-robot signature over positions: the reference the
+    /// window table is checked against.
+    fn local_signature(chain: &ClosedChain, i: usize) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let p = chain.pos(i);
+        for d in [-3isize, -2, -1, 1, 2, 3] {
+            let q = chain.pos(chain.nb(i, d));
+            for v in [q.x - p.x, q.y - p.y] {
+                h ^= v as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn signature_table_matches_local_signature_on_all_windows() {
+        let classes = signature_classes();
+        let mut hash_of_class = std::collections::HashMap::new();
+        let mut hashes = std::collections::HashSet::new();
+        for (w, &class) in classes.iter().enumerate() {
+            let window: Vec<u8> = (0..6).map(|t| (w >> (2 * t) & 3) as u8).collect();
+            let c = crate::quasi::tests::chain_from_codes(&window);
+            let h = local_signature(&c, 3);
+            assert_eq!(window_signature(w), h, "window {window:?}");
+            // One hash per class...
+            assert_eq!(*hash_of_class.entry(class).or_insert(h), h);
+            hashes.insert(h);
+        }
+        // ...and one class per hash: class equality is hash equality. The
+        // hash collides on 450 windows, so the raw 12-bit window would
+        // not do.
+        assert_eq!(hashes.len(), 3646);
+        assert_eq!(hash_of_class.len(), 3646);
+        assert!(!hash_of_class.contains_key(&NO_SIG) && !hash_of_class.contains_key(&NO_SIG2));
+    }
+
+    #[test]
+    fn live_runs_stay_sorted_and_match_occupancy() {
+        let mut sim = Sim::new(rectangle(20, 12), ClosedChainGathering::paper());
+        for _ in 0..60 {
+            if sim.is_gathered() {
+                break;
+            }
+            sim.step().unwrap();
+            let strat = sim.strategy();
+            let runs = strat.live_runs();
+            assert!(runs.windows(2).all(|w| w[0].key() < w[1].key()));
+            let occupied = strat.occ.iter().map(|c| c.count()).sum::<usize>();
+            assert_eq!(occupied, runs.len());
+            for lr in runs {
+                assert_eq!(strat.run_at(lr.robot, lr.run.dir()), Some(&lr.run));
+                assert_eq!(
+                    strat.occ[lr.robot].get(lr.run.dir()),
+                    Some(lr.run.fold_code())
+                );
+            }
+            assert!(strat.staged.is_empty());
+            assert!(strat.staged_occ.iter().all(|c| c.is_empty()));
+        }
+    }
+
+    #[test]
+    fn compact_drops_removed_indices() {
+        let mut v: Vec<u32> = (0..8).collect();
+        compact(&mut v, &[0, 3, 4, 7]);
+        assert_eq!(v, [1, 2, 5, 6]);
+        let mut v: Vec<u32> = (0..3).collect();
+        compact(&mut v, &[1]);
+        assert_eq!(v, [0, 2]);
     }
 
     #[test]
