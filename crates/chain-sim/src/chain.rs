@@ -11,7 +11,8 @@
 //! (explicitly so in the paper — the chain may cross itself).
 
 use crate::robot::RobotId;
-use grid_geom::{chain_adjacent, Offset, Point, Rect};
+use grid_geom::{chain_adjacent, manhattan, Offset, Point, Rect};
+use std::f64::consts::SQRT_2;
 
 /// Errors detected by [`ClosedChain::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,6 +125,23 @@ impl SpliceLog {
             Err(shift) => Some(old - shift),
         }
     }
+}
+
+/// What one [`ClosedChain::apply_hops`] sweep saw of the post-move chain.
+///
+/// The sweep has already proved every chain edge adjacent, so `coincident`
+/// is the only way the chain can fail to be taut: when it is `false` the
+/// post-move chain is taut and the merge pass has nothing to splice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HopSweep {
+    /// Robots that performed a nonzero hop.
+    pub moved: usize,
+    /// `true` if some pair of chain neighbors now shares a grid point.
+    pub coincident: bool,
+    /// Bounding box of the post-move positions. A merge removes only
+    /// robots standing on their keeper's point, so this is also the box
+    /// after the merge pass.
+    pub bounds: Rect,
 }
 
 /// The closed chain of robots (struct-of-arrays layout: positions and ids).
@@ -257,36 +275,95 @@ impl ClosedChain {
         Ok(())
     }
 
-    /// Check connectivity only (used mid-round, where coincidences are
-    /// expected and legal until the merge pass runs).
-    pub fn check_connected(&self) -> Result<(), ChainError> {
-        let n = self.pos.len();
-        for i in 0..n {
-            let a = self.pos[i];
-            let b = self.pos[self.nb(i, 1)];
-            if !chain_adjacent(a, b) {
-                return Err(ChainError::Disconnected { index: i, a, b });
-            }
-        }
-        Ok(())
+    /// Apply one hop per robot simultaneously (the move step of FSYNC);
+    /// [`ClosedChain::apply_hops_with`] without a travel callback.
+    pub fn apply_hops(&mut self, hops: &[Offset]) -> Result<HopSweep, ChainError> {
+        self.apply_hops_with(hops, |_, _| {})
     }
 
-    /// Apply one hop per robot simultaneously (the move step of FSYNC).
+    /// Apply one hop per robot simultaneously, in one sweep over the chain
+    /// that also checks the result and summarizes it.
     ///
-    /// Hops must have components in `{-1, 0, 1}`. Connectivity is checked
-    /// after application; on failure the chain state is the (broken)
+    /// Hops must have components in `{-1, 0, 1}`; the first illegal hop is
+    /// reported as [`ChainError::IllegalHop`] with the chain unmoved. Every
+    /// chain edge is then checked for adjacency; the first broken one, in
+    /// edge order `(0, 1), …, (n-2, n-1), (n-1, 0)`, is reported as
+    /// [`ChainError::Disconnected`] with the chain in its (broken)
     /// post-move state, so callers can render diagnostics.
-    pub fn apply_hops(&mut self, hops: &[Offset]) -> Result<(), ChainError> {
-        assert_eq!(hops.len(), self.pos.len(), "one hop per robot");
-        for (i, h) in hops.iter().enumerate() {
-            if !h.is_hop() {
-                return Err(ChainError::IllegalHop { index: i, hop: *h });
+    ///
+    /// `on_move(i, len)` is called for every robot `i` with a nonzero hop,
+    /// in index order, with the hop's Euclidean length (`1.0`, or
+    /// [`std::f64::consts::SQRT_2`] for a diagonal). On an error it has
+    /// been called for every mover before the failing index (all movers
+    /// for `Disconnected`).
+    pub fn apply_hops_with(
+        &mut self,
+        hops: &[Offset],
+        mut on_move: impl FnMut(usize, f64),
+    ) -> Result<HopSweep, ChainError> {
+        let n = self.pos.len();
+        assert_eq!(hops.len(), n, "one hop per robot");
+        assert!(n > 0, "a closed chain holds at least one robot");
+        let mut moved = 0;
+        let mut coincident = false;
+        let mut broken = None;
+        let mut illegal = None;
+        // Empty box: the first `expand` makes it that robot's point.
+        let mut bounds = Rect {
+            min: Point::new(i64::MAX, i64::MAX),
+            max: Point::new(i64::MIN, i64::MIN),
+        };
+        let mut judge = |edge: usize, a: Point, b: Point| match manhattan(a, b) {
+            0 => coincident = true,
+            1 => {}
+            _ => {
+                broken.get_or_insert(edge);
             }
+        };
+        let mut prev = Point::ORIGIN;
+        // Edge (i-1, i) is judged once robot i has moved, so broken edges
+        // are met in edge order; the closing edge comes after the loop.
+        for (i, (p, &h)) in self.pos.iter_mut().zip(hops).enumerate() {
+            if !h.is_hop() {
+                illegal = Some(i);
+                break;
+            }
+            if h != Offset::ZERO {
+                moved += 1;
+                on_move(i, if h.is_diagonal() { SQRT_2 } else { 1.0 });
+                *p += h;
+            }
+            let q = *p;
+            if i > 0 {
+                judge(i - 1, prev, q);
+            }
+            bounds.expand(q);
+            prev = q;
         }
-        for (p, h) in self.pos.iter_mut().zip(hops) {
-            *p += *h;
+        if let Some(index) = illegal {
+            for (p, &h) in self.pos[..index].iter_mut().zip(hops) {
+                *p -= h;
+            }
+            return Err(ChainError::IllegalHop {
+                index,
+                hop: hops[index],
+            });
         }
-        self.check_connected()
+        if n > 1 {
+            judge(n - 1, prev, self.pos[0]);
+        }
+        if let Some(index) = broken {
+            return Err(ChainError::Disconnected {
+                index,
+                a: self.pos[index],
+                b: self.pos[self.nb(index, 1)],
+            });
+        }
+        Ok(HopSweep {
+            moved,
+            coincident,
+            bounds,
+        })
     }
 
     /// The merge pass: splice out robots coinciding with chain neighbors.
@@ -362,13 +439,13 @@ impl ClosedChain {
             return 0;
         }
 
-        // Sort parallel arrays by removed index (ascending) for remap().
-        let mut order: Vec<usize> = (0..log.removed_indices.len()).collect();
-        order.sort_unstable_by_key(|&i| log.removed_indices[i]);
-        let removed_sorted: Vec<usize> = order.iter().map(|&i| log.removed_indices[i]).collect();
-        let keepers_sorted: Vec<usize> = order.iter().map(|&i| log.keeper_indices[i]).collect();
-        log.removed_indices = removed_sorted;
-        log.keeper_indices = keepers_sorted;
+        // The walk emitted the removed indices above the anchor in
+        // ascending order, then the wrapped ones below it, also ascending
+        // (the anchor itself is a keeper). Rotating both parallel arrays
+        // at that split sorts them for remap().
+        let split = log.removed_indices.partition_point(|&i| i > anchor);
+        log.removed_indices.rotate_left(split);
+        log.keeper_indices.rotate_left(split);
 
         // Splice out removed indices (single compaction sweep).
         let mut write = 0;
@@ -581,9 +658,11 @@ mod tests {
         assert_eq!(c.len(), 4);
         c.validate().unwrap();
         assert_eq!(log.events.len(), 2);
-        // Exactly one of {0, 5} was removed, and remap agrees.
-        let wrap_gone = log.removed_indices.iter().any(|&i| i == 0 || i == 5);
-        assert!(wrap_gone);
+        // The walk starts at index 1 and meets {1, 2} before the wrapping
+        // {5, 0}; the log is sorted by removed index with each keeper
+        // still beside the robot it absorbed.
+        assert_eq!(log.removed_indices, vec![0, 2]);
+        assert_eq!(log.keeper_indices, vec![5, 1]);
         for &gone in &log.removed_indices {
             assert_eq!(log.remap(gone), None);
         }
@@ -653,5 +732,195 @@ mod tests {
         assert_eq!(c.merge_pass(&mut log), 1);
         assert_eq!(c.len(), 1);
         assert!(c.is_gathered());
+    }
+
+    /// The multi-pass apply the one-sweep [`ClosedChain::apply_hops_with`]
+    /// replaced: a legality pass, an add pass, a connectivity pass, a
+    /// mover count, a travel fold, and the `validate` and
+    /// `Rect::bounding` scans the engine ran after it. Kept as the
+    /// reference the sweep is checked against.
+    mod reference {
+        use super::*;
+
+        fn check_connected(c: &ClosedChain) -> Result<(), ChainError> {
+            let n = c.pos.len();
+            for i in 0..n {
+                let a = c.pos[i];
+                let b = c.pos[c.nb(i, 1)];
+                if !chain_adjacent(a, b) {
+                    return Err(ChainError::Disconnected { index: i, a, b });
+                }
+            }
+            Ok(())
+        }
+
+        pub(super) fn apply_hops(
+            c: &mut ClosedChain,
+            hops: &[Offset],
+        ) -> Result<HopSweep, ChainError> {
+            assert_eq!(hops.len(), c.pos.len(), "one hop per robot");
+            for (i, h) in hops.iter().enumerate() {
+                if !h.is_hop() {
+                    return Err(ChainError::IllegalHop { index: i, hop: *h });
+                }
+            }
+            for (p, h) in c.pos.iter_mut().zip(hops) {
+                *p += *h;
+            }
+            check_connected(c)?;
+            Ok(HopSweep {
+                moved: hops.iter().filter(|h| **h != Offset::ZERO).count(),
+                // Connected, so `validate` can only object to a
+                // coincident pair.
+                coincident: c.len() > 1 && c.validate().is_err(),
+                bounds: Rect::bounding(c.pos.iter().copied()).unwrap(),
+            })
+        }
+
+        /// Per-mover travel as the engine used to fold it, for the movers
+        /// before `upto`.
+        pub(super) fn travel(hops: &[Offset], upto: usize) -> Vec<(usize, u64)> {
+            hops[..upto]
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| **h != Offset::ZERO)
+                .map(|(i, h)| (i, ((h.dx * h.dx + h.dy * h.dy) as f64).sqrt().to_bits()))
+                .collect()
+        }
+    }
+
+    /// A random taut closed chain: `steps` random unit steps from the
+    /// origin, then straight back to it (the return's last step is the
+    /// closing edge). Non-neighbors may coincide, neighbors never do.
+    fn random_taut(rng: &mut crate::rng::SplitMix64, steps: usize) -> ClosedChain {
+        const UNIT: [Offset; 4] = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+        let mut p = Point::ORIGIN;
+        let mut pts = vec![p];
+        for _ in 0..steps {
+            p += UNIT[rng.range_usize(0, 4)];
+            pts.push(p);
+        }
+        while p != Point::ORIGIN {
+            p += if p.x != 0 {
+                Offset::new(-p.x.signum(), 0)
+            } else {
+                Offset::new(0, -p.y.signum())
+            };
+            pts.push(p);
+        }
+        pts.pop();
+        ClosedChain::new(pts).unwrap()
+    }
+
+    /// Random hops for `c`: each robot moves with probability `1/sparsity`,
+    /// onto its successor or predecessor (the moves that make neighbors
+    /// coincide) or by a uniform legal hop; one draw in twelve plants an
+    /// illegal hop.
+    fn random_hops(rng: &mut crate::rng::SplitMix64, c: &ClosedChain) -> Vec<Offset> {
+        let n = c.len();
+        let sparsity = [2, 4, 16][rng.range_usize(0, 3)] as u64;
+        let mut hops: Vec<Offset> = (0..n)
+            .map(|i| {
+                if !rng.chance(1, sparsity) {
+                    return Offset::ZERO;
+                }
+                match rng.range_usize(0, 4) {
+                    0 | 1 => c.step(i),
+                    2 => -c.step(c.nb(i, -1)),
+                    _ => Offset::new(
+                        rng.range_i64_inclusive(-1, 1),
+                        rng.range_i64_inclusive(-1, 1),
+                    ),
+                }
+            })
+            .collect();
+        if rng.chance(1, 12) {
+            let at = rng.range_usize(0, n);
+            hops[at] =
+                [Offset::new(2, 0), Offset::new(0, -3), Offset::new(1, 2)][rng.range_usize(0, 3)];
+        }
+        hops
+    }
+
+    /// Differential test: the one-sweep apply against the multi-pass
+    /// reference on seeded random taut chains and hops. Both must give the
+    /// same `Result` (error kind, index and payload included), the same
+    /// post-call positions and the same summary; the travel callback must
+    /// see exactly the movers the old fold credited. On success the
+    /// summary must also be what the engine relies on: no coincidence
+    /// means a taut chain and an empty merge, a coincidence means a
+    /// splice, and the box survives the merge.
+    #[test]
+    fn sweep_matches_multi_pass_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0x5eed_5bee);
+        let (mut taut, mut merged, mut wrapped, mut illegal, mut closing, mut several) =
+            (0, 0, 0, 0, 0, 0);
+        for draw in 0..20_000 {
+            let steps = rng.range_usize(1, 40);
+            let mut c = random_taut(&mut rng, steps);
+            let n = c.len();
+            c.rotate_origin(rng.range_usize(0, n));
+            let hops = random_hops(&mut rng, &c);
+
+            let mut swept = c.clone();
+            let mut credited = Vec::new();
+            let got = swept.apply_hops_with(&hops, |i, len| credited.push((i, len.to_bits())));
+            let mut multi = c.clone();
+            let want = reference::apply_hops(&mut multi, &hops);
+            assert_eq!(got, want, "draw {draw}: {hops:?}");
+            assert_eq!(swept.positions(), multi.positions(), "draw {draw}");
+            let upto = match want {
+                Err(ChainError::IllegalHop { index, .. }) => index,
+                _ => n,
+            };
+            assert_eq!(credited, reference::travel(&hops, upto), "draw {draw}");
+
+            match want {
+                Ok(sweep) => {
+                    if n > 1 && multi.pos(0) == multi.pos(n - 1) {
+                        wrapped += 1;
+                    }
+                    let mut log = SpliceLog::default();
+                    let removed = swept.merge_pass(&mut log);
+                    assert_eq!(removed > 0, sweep.coincident, "draw {draw}");
+                    if sweep.coincident {
+                        merged += 1;
+                    } else {
+                        taut += 1;
+                        if n > 1 {
+                            swept.validate().unwrap();
+                        }
+                    }
+                    if swept.len() > 1 {
+                        swept.validate().unwrap();
+                    }
+                    assert_eq!(swept.bounding(), sweep.bounds, "draw {draw}");
+                }
+                Err(ChainError::IllegalHop { .. }) => illegal += 1,
+                Err(ChainError::Disconnected { index, .. }) => {
+                    if index == n - 1 {
+                        closing += 1;
+                    }
+                    let breaks = (0..n)
+                        .filter(|&i| !chain_adjacent(multi.pos(i), multi.pos(multi.nb(i, 1))))
+                        .count();
+                    if breaks > 1 {
+                        several += 1;
+                    }
+                }
+                Err(e) => panic!("draw {draw}: unexpected {e}"),
+            }
+        }
+        // Every case the sweep distinguishes is exercised, not just reachable.
+        for (what, count) in [
+            ("taut", taut),
+            ("merged", merged),
+            ("wrapped group", wrapped),
+            ("illegal hop", illegal),
+            ("closing edge broken", closing),
+            ("several broken edges", several),
+        ] {
+            assert!(count >= 100, "only {count} draws covered: {what}");
+        }
     }
 }

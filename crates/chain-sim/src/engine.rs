@@ -19,6 +19,16 @@
 //! aggregates (a few counters) are folded in-place. Observers see each
 //! round through a borrowed [`RoundCtx`] and pay for exactly what they
 //! retain.
+//!
+//! After the compute step a round walks the chain once: the
+//! [`ClosedChain::apply_hops_with`] sweep moves every robot and in the
+//! same pass checks each hop and each chain edge, spots coinciding
+//! neighbors, counts the movers, grows the bounding box and credits each
+//! mover's travel. The merge pass and the post-round taut check run only
+//! when the sweep saw a coinciding pair — without one the sweep's result
+//! *is* the taut check — and the gathering verdict comes from the sweep's
+//! box, which the merge cannot change (it removes robots only from points
+//! their keepers still occupy).
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
 use crate::observe::{AnyObserver, Observer, RoundCtx};
@@ -417,10 +427,13 @@ impl<S: Strategy> Sim<S> {
 
         // Inactive robots were not scheduled: their computed hops are
         // discarded before anything observes them, exactly as if their
-        // look–compute–move cycle had not run this round.
-        for (hop, active) in self.hops.iter_mut().zip(&self.active) {
-            if !active {
-                *hop = Offset::ZERO;
+        // look–compute–move cycle had not run this round. Under full
+        // activation (FSYNC) there is nothing to discard.
+        if self.active.contains(&false) {
+            for (hop, active) in self.hops.iter_mut().zip(&self.active) {
+                if !active {
+                    *hop = Offset::ZERO;
+                }
             }
         }
         if let Some(c) = clock.as_mut() {
@@ -443,28 +456,50 @@ impl<S: Strategy> Sim<S> {
             c.mark(Phase::Guard);
         }
 
-        // Move (simultaneous).
-        let moved = self.hops.iter().filter(|h| **h != Offset::ZERO).count();
-        if let Err(e) = self.chain.apply_hops(&self.hops) {
-            self.broken = Some(e.clone());
-            return Err(e);
-        }
-        if moved > 0 {
-            // Fold hop lengths into the per-robot travel totals (the
-            // min-max objective): unit steps cost 1, diagonal hops √2.
-            for (t, h) in self.travel.iter_mut().zip(&self.hops) {
-                if *h != Offset::ZERO {
-                    *t += ((h.dx * h.dx + h.dy * h.dy) as f64).sqrt();
+        // Move (simultaneous), in the one sweep that also checks every
+        // edge, spots coinciding neighbors, counts the movers, grows the
+        // bounding box and folds each mover's hop length into its travel
+        // total (the min-max objective: unit steps 1, diagonals √2).
+        let travel = &mut self.travel;
+        let mut credited_max = 0.0f64;
+        let sweep = match self.chain.apply_hops_with(&self.hops, |i, len| {
+            credited_max = credited_max.max(travel[i]);
+            travel[i] += len;
+        }) {
+            Ok(sweep) => sweep,
+            Err(e) => {
+                // A breaking round does not count, its travel included.
+                // The sim takes no further rounds, so only the maximum is
+                // still observable: retire the credited robots' pre-round
+                // maximum and drop their credited totals.
+                let credited = match e {
+                    ChainError::IllegalHop { index, .. } => index,
+                    _ => n,
+                };
+                self.retired_travel = self.retired_travel.max(credited_max);
+                for (t, h) in self.travel[..credited].iter_mut().zip(&self.hops) {
+                    if *h != Offset::ZERO {
+                        *t = 0.0;
+                    }
                 }
+                self.broken = Some(e.clone());
+                return Err(e);
             }
-        }
+        };
+        let moved = sweep.moved;
         self.strategy.post_move(&self.chain, self.round);
         if let Some(c) = clock.as_mut() {
             c.mark(Phase::Apply);
         }
 
-        // Merge pass (the paper's progress).
-        let removed = self.chain.merge_pass(&mut self.splice);
+        // Merge pass (the paper's progress). Without a coinciding pair it
+        // has nothing to splice.
+        let removed = if sweep.coincident {
+            self.chain.merge_pass(&mut self.splice)
+        } else {
+            self.splice.clear();
+            0
+        };
         if removed > 0 {
             // Mirror the splice in the travel totals: removed robots
             // retire theirs into the running maximum, survivors compact
@@ -485,8 +520,11 @@ impl<S: Strategy> Sim<S> {
         self.strategy
             .post_merge(&self.chain, self.round, &self.splice);
 
-        // Post-round invariant: taut chain (unless fully collapsed).
-        if self.chain.len() > 1 {
+        // Post-round invariant: taut chain (unless fully collapsed). A
+        // round without a splice is taut already — the sweep proved every
+        // edge adjacent and no neighbors coincident — so only a spliced
+        // chain is re-checked.
+        if removed > 0 && self.chain.len() > 1 {
             if let Err(e) = self.chain.validate() {
                 self.broken = Some(e.clone());
                 return Err(e);
@@ -512,7 +550,9 @@ impl<S: Strategy> Sim<S> {
             moved,
             removed,
             len_after: self.chain.len(),
-            gathered: self.chain.is_gathered(),
+            // The merge keeps every occupied point, so the sweep's
+            // post-move box is the post-round box.
+            gathered: sweep.bounds.is_gathered_2x2(),
         };
         self.progress.record_round(moved, removed);
         if !self.observers.is_empty() {
@@ -781,6 +821,41 @@ mod tests {
         assert!(matches!(outcome, Outcome::ChainBroken { .. }));
         // Further steps refuse to run.
         assert!(sim.step().is_err());
+    }
+
+    /// A strategy replaying a fixed per-round hop script.
+    struct Script(Vec<Vec<(usize, Offset)>>);
+
+    impl Strategy for Script {
+        fn name(&self) -> &'static str {
+            "script"
+        }
+        fn init(&mut self, _chain: &ClosedChain) {}
+        fn compute(&mut self, _chain: &ClosedChain, round: u64, hops: &mut [Offset]) {
+            for &(i, hop) in &self.0[round as usize] {
+                hops[i] = hop;
+            }
+        }
+    }
+
+    /// The sweep credits travel as it moves robots, before it knows the
+    /// round breaks the chain; a breaking round must still not count. Robot
+    /// 0 hops diagonally in round 0, and again in round 1, which a later
+    /// robot breaks by a disconnecting or an illegal hop.
+    #[test]
+    fn breaking_round_travel_does_not_count() {
+        use std::f64::consts::SQRT_2;
+        for breaker in [(3, Offset::new(1, 1)), (4, Offset::new(2, 0))] {
+            let script = Script(vec![
+                vec![(0, Offset::new(1, 1))],
+                vec![(0, Offset::new(-1, -1)), breaker],
+            ]);
+            let mut sim = Sim::new(ring6(), script);
+            assert_eq!(sim.step().unwrap().moved, 1);
+            assert_eq!(sim.max_travel().to_bits(), SQRT_2.to_bits());
+            assert!(sim.step().is_err(), "{breaker:?} breaks the round");
+            assert_eq!(sim.max_travel().to_bits(), SQRT_2.to_bits(), "{breaker:?}");
+        }
     }
 
     #[test]

@@ -374,8 +374,9 @@ impl KernelChain {
     /// Collapsed edges are queued for [`KernelChain::merge`]; a hop set
     /// that breaks chain adjacency reports the first failing edge with
     /// the same [`ChainError::Disconnected`] payload the boxed
-    /// `check_connected` computes (post-move endpoint positions), and
-    /// leaves the chain state untouched.
+    /// [`apply_hops`](crate::chain::ClosedChain::apply_hops) reports
+    /// (post-move endpoint positions), and leaves the chain state
+    /// untouched.
     pub fn apply_dense(&mut self, hops: &[u8]) -> Result<(), ChainError> {
         let n = self.packed.len();
         debug_assert_eq!(hops.len(), n);

@@ -6,10 +6,11 @@
 //! — into a self-contained byte blob. A
 //! [`ReplayReader`] reconstructs every intermediate chain byte-identically
 //! by re-applying the recorded hops through the engine's own
-//! [`ClosedChain::apply_hops`] and [`ClosedChain::merge_pass`], verifying
-//! the recorded counters as it goes: a truncated or bit-flipped replay
-//! fails with a positioned [`ReplayError`], never a panic, and never a
-//! silently wrong chain.
+//! [`ClosedChain::apply_hops`] sweep and [`ClosedChain::merge_pass`] (run,
+//! as in the engine, only when the sweep saw neighbors coincide),
+//! verifying the recorded counters as it goes: a truncated or bit-flipped
+//! replay fails with a positioned [`ReplayError`], never a panic, and
+//! never a silently wrong chain.
 //!
 //! # Format (version 1)
 //!
@@ -933,10 +934,15 @@ impl ReplayReader {
 
         let at = cur.pos;
         let fail = |what: String| ReplayError { offset: at, what };
-        self.chain
+        let sweep = self
+            .chain
             .apply_hops(&self.hops)
             .map_err(|e| fail(format!("round {round}: recorded hops break the chain: {e}")))?;
-        let merged = self.chain.merge_pass(&mut self.splice);
+        let merged = if sweep.coincident {
+            self.chain.merge_pass(&mut self.splice)
+        } else {
+            0
+        };
         if merged != removed {
             return Err(fail(format!(
                 "round {round}: reconstruction merged {merged} robots, record says {removed}"
@@ -948,7 +954,7 @@ impl ReplayReader {
                 self.chain.len()
             )));
         }
-        let gathered = self.chain.is_gathered();
+        let gathered = sweep.bounds.is_gathered_2x2();
         if gathered != (flags & FLAG_GATHERED != 0) {
             return Err(fail(format!(
                 "round {round}: gathered flag disagrees with the reconstruction"

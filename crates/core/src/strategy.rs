@@ -511,7 +511,10 @@ impl Strategy for ClosedChainGathering {
     fn compute(&mut self, chain: &ClosedChain, round: u64, hops: &mut [Offset]) {
         let n = chain.len();
         debug_assert_eq!(self.occ.len(), n, "run occupancy out of sync");
-        hops[..n].fill(Offset::ZERO);
+        debug_assert!(
+            hops[..n].iter().all(|&h| h == Offset::ZERO),
+            "the Strategy::compute contract hands `hops` over zeroed"
+        );
         self.codes.decode(chain, self.cfg.view.max(4));
         if self.codes.is_empty() {
             // A single robot is gathered; nothing to decide.
